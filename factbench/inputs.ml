@@ -33,7 +33,7 @@ let render_query q = Fact_sexp.Sexp.to_string (Query.to_sexp q)
 
 type slot = Ra4 of int | Ra3 | Cheap of string * int | Chr
 
-(* One cycle of the cold mix, 20 requests.
+(* One cycle of the cold mix, 18 requests.
 
    The six n=4 [ra] requests are the expensive group. Their cost depends
    mostly on the adversary's agreement power, about 250-550 ms at setcon
@@ -41,32 +41,34 @@ type slot = Ra4 of int | Ra3 | Cheap of string * int | Chr
    the first and two of the second rather than whatever a random draw
    gives. Both connections pull from this one sequence and send at
    nearly the same moment, so the request next to an n=4 [ra] waits for
-   all of it on the single executor: the slow group is 60% of requests,
-   twice the share of n=4 [ra]. Spacing the expensive requests at least
+   most of it on the single executor: about 70% of requests are slow,
+   twice the share of n=4 [ra]. Spacing the expensive requests exactly
    3 apart keeps two of them from ever sharing the executor.
 
    The rest take about a millisecond each, most of it the store's fsync
    (an n=3 [ra] about 5 ms). Their latency follows the disk's fsync
    time, which on a shared machine varies by a third from run to run,
-   so the median is put inside the slow group instead: at its lower
-   quartile of the setcon-1 requests. p90 then lies inside the setcon-2
-   requests and p99 at their top. *)
+   so the median is put inside the slow group instead, about a third
+   into the setcon-1 requests, where samples are dense; a larger cheap
+   share would put it at the slow group's sparse low edge. p90 then lies
+   inside the setcon-2 requests and p99 at their top. *)
 let cold_expensive = [| Ra4 1; Ra4 1; Ra4 1; Ra4 1; Ra4 2; Ra4 2 |]
 
-let cold_expensive_at = [ 0; 3; 7; 10; 13; 17 ]
+let cold_expensive_at = [ 0; 3; 6; 9; 12; 15 ]
 
 let cold_cheap =
   Array.concat
-    [ [| Ra3; Chr |];
-      Array.make 2 (Cheap ("critical", 3)); Array.make 2 (Cheap ("critical", 4));
-      Array.make 2 (Cheap ("setcon", 3)); Array.make 2 (Cheap ("setcon", 4));
-      Array.make 2 (Cheap ("fairness", 3)); Array.make 2 (Cheap ("fairness", 4)) ]
+    [ [| Ra3; Ra3; Chr; Cheap ("critical", 3); Cheap ("setcon", 3); Cheap ("fairness", 3) |];
+      Array.make 2 (Cheap ("critical", 4)); Array.make 2 (Cheap ("setcon", 4));
+      Array.make 2 (Cheap ("fairness", 4)) ]
+
+let cold_cycle_length = 18
 
 let cold_cycle r =
   let exp = shuffle r cold_expensive and cheap = shuffle r cold_cheap in
   let e = ref 0 and c = ref 0 in
   let take a i = incr i; a.(!i - 1) in
-  List.init 20 (fun i -> if List.mem i cold_expensive_at then take exp e else take cheap c)
+  List.init cold_cycle_length (fun i -> if List.mem i cold_expensive_at then take exp e else take cheap c)
 
 (* Every (n, m) whose Chr^m s has at most ~6600 facets. *)
 let chr_pool =
@@ -275,6 +277,12 @@ let rec decide_next g =
       g.wide_left <- List.tl g.wide_left;
       Approx { n = 2; ell = 2; range }
     | Aa3 -> Approx { n = 3; ell = 1; range = 2 + Random.State.int r 5 })
+
+(* A copy of the generator's stream, so the set-up leaves the sequence
+   of instances as [decide_sequence] gives it. *)
+let decide_setup_adversaries g k =
+  Array.to_list (Array.sub (shuffle (Random.State.copy g.d_rng) g.fair) 0 (min k (Array.length g.fair)))
+  |> List.map fst
 
 let decide_sequence ~seed count =
   let g = decide ~seed in

@@ -18,6 +18,10 @@ val cold_next : cold -> Query.t
     repeats a query, so every request misses the server's result
     cache. Not thread-safe. *)
 
+val cold_cycle_length : int
+(** Requests per cycle of the cold mix; each cycle has the same
+    composition. *)
+
 val cold_sequence : seed:int -> int -> Query.t list
 
 (** {2 serve_hot} *)
@@ -53,6 +57,12 @@ val decide_cycle_length : int
 val decide : seed:int -> decide
 val decide_next : decide -> instance
 val decide_sequence : seed:int -> int -> instance list
+
+val decide_setup_adversaries : decide -> int -> int list list list
+(** [decide_setup_adversaries g k]: [k] distinct fair n=3 live-set
+    adversaries, drawn from a copy of the generator's seeded stream,
+    whose protocol complexes the set-up builds. [g]'s own sequence of
+    instances is unchanged. *)
 
 val approx_solvable : n:int -> ell:int -> range:int -> bool
 (** The expected verdict: [3^ell >= range] for two processes,

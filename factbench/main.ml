@@ -125,13 +125,24 @@ let report_ok_frac () =
 
 type served = { query : Query.t; payload : string; req : int }
 
-(* Tracing overhead: when a run is traced, every other op of each
-   connection (or of the decide loop, every other cycle) records its
-   spans and the rest do not, so both halves see the same mix on the
-   same state. The overhead is the difference of their mean op times. *)
+(* Tracing overhead: when a run is traced, half the ops record their
+   spans and the rest do not, alternating so that both halves see the
+   same mix on the same state: every other op of each connection on
+   serve_hot, every other cycle of the mix on serve_cold and decide.
+   The overhead is the difference of their mean op times, each taken
+   with the span recording inside it. *)
 let op_ms = [| [| 0.; 0. |]; [| 0.; 0. |] |]
 let op_count = [| [| 0; 0 |]; [| 0; 0 |] |]
 let traced_ops = ref 0
+
+(* The ops whose spans a layer's self time is spread over: the client
+   spans come from the traced ops of the measured phase; on serve_cold
+   every other layer comes from the in-process replay of every served
+   query. *)
+let replayed_ops = ref None
+
+let span_ops layer =
+  match (layer, !replayed_ops) with "client", _ | _, None -> !traced_ops | _, Some n -> n
 
 let account c ~traced ms =
   let t = Bool.to_int traced in
@@ -147,15 +158,15 @@ let report_overhead () =
   metric "trace.overhead_pct" "%" ((mean 1 /. mean 0 -. 1.) *. 100.)
 
 (* Runs [seconds] of closed-loop load over [conns] connections. [next c]
-   gives connection [c]'s next request and [accept] judges a reply. *)
+   gives connection [c]'s next request, with whether a traced run
+   records its span, and [accept] judges a reply. *)
 let drive_server (srv : Server.t) ~seconds ~trace ~next ~accept =
   let clients = Array.init conns (fun _ -> Some (Client.connect ~timeout_s:60. srv.addr)) in
   let reqs = Atomic.make 0 in
-  let sent = Array.make conns 0 in
   let op c =
     match next c with
     | None -> Load.Exhausted
-    | Some (q, tag) -> (
+    | Some (q, tag, traced) -> (
       let cl =
         match clients.(c) with
         | Some cl -> cl
@@ -165,14 +176,13 @@ let drive_server (srv : Server.t) ~seconds ~trace ~next ~accept =
           cl
       in
       let req = Atomic.fetch_and_add reqs 1 in
-      let traced = trace && sent.(c) land 1 = 1 in
-      sent.(c) <- sent.(c) + 1;
+      let traced = trace && traced in
       let start_ns = Clock.now_ns () in
       match Client.query cl q with
       | payload, source ->
         let end_ns = Clock.now_ns () in
         if traced then Spans.record ~name:("client." ^ Query.endpoint q) ~req ~start_ns ~end_ns;
-        if trace then account c ~traced (Int64.to_float (Int64.sub end_ns start_ns) *. 1e-6);
+        if trace then account c ~traced (Int64.to_float (Int64.sub (Clock.now_ns ()) start_ns) *. 1e-6);
         accept c tag ~req payload source
       | exception (Fact_error.Error e as exn) ->
         if Fact_error.is_unavailable exn then begin
@@ -190,14 +200,18 @@ let drive_server (srv : Server.t) ~seconds ~trace ~next ~accept =
 
 (* A server that dies during the measured phase fails every request
    from then on: its socket is left behind, so each connect is refused
-   and counts as a failed op. One that exits nonzero at shutdown is a
-   failed op too. A socket file left behind by a server that exited 0
-   answered everything correctly: it is recorded, not failed. *)
+   and counts as a failed op. A server that exits nonzero at shutdown is
+   a failed op, and so is a socket file the measured server leaves
+   behind. The servers stopped during set-up answered no measured op: a
+   socket they leave is counted in the environment. *)
+let setup_sockets_left = ref 0
+
 let stop_server ?(measured = true) srv =
   let status, exit0, socket_left = Server.stop srv in
   if measured || not exit0 then note "server_exit" status;
-  if socket_left then note "socket_left_behind" srv.Server.sock;
-  if not exit0 then begin
+  if socket_left && not measured then incr setup_sockets_left;
+  if socket_left && measured then note "socket_left_behind" srv.Server.sock;
+  if (not exit0) || (socket_left && measured) then begin
     run.correct <- false;
     run.attempted <- run.attempted + 1;
     run.failed <- run.failed + 1
@@ -220,6 +234,8 @@ let set_up_server make =
 
 (* --- server stats text ------------------------------------------- *)
 
+(* A counter the stats text no longer carries is a failed check, not a
+   zero. *)
 let field line key =
   List.find_map
     (fun w ->
@@ -227,32 +243,36 @@ let field line key =
       | [ k; v ] when k = key -> int_of_string_opt v
       | _ -> None)
     (String.split_on_char ' ' line)
-  |> Option.value ~default:0
+  |> function
+  | Some v -> v
+  | None ->
+    fail_check ("server stats field " ^ key) 1;
+    0
 
 let stats_line text prefix =
   List.find_opt (fun l -> String.starts_with ~prefix l) (String.split_on_char '\n' text)
   |> Option.value ~default:""
 
+(* The lines after "pipeline caches:", one per registered memo cache. *)
 let pipeline_caches text =
-  String.split_on_char '\n' text
+  let rec after = function [] -> [] | l :: rest -> if l = "pipeline caches:" then rest else after rest in
+  after (String.split_on_char '\n' text)
   |> List.filter_map (fun l ->
          match List.filter (( <> ) "") (String.split_on_char ' ' l) with
-         | name :: _ when List.mem name Layers.caches ->
-           Some (name, (field l "hits", field l "misses", field l "evictions"))
-         | _ -> None)
+         | name :: _ -> Some (name, (field l "hits", field l "misses", field l "evictions"))
+         | [] -> None)
 
 (* --- per-layer metrics shared by the served workloads -------------- *)
 
 let cache_metrics ~before ~after =
   List.iter
-    (fun name ->
-      let get l = Option.value ~default:(0, 0, 0) (List.assoc_opt name l) in
-      let h0, m0, e0 = get before and h1, m1, e1 = get after in
+    (fun (name, (h1, m1, e1)) ->
+      let h0, m0, e0 = Option.value ~default:(0, 0, 0) (List.assoc_opt name before) in
       let h = h1 - h0 and m = m1 - m0 in
       metric ("cache." ^ name ^ ".hit_ratio") "ratio"
         (if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m));
       metric ("cache." ^ name ^ ".evictions") "count" (float_of_int (e1 - e0)))
-    Layers.caches
+    after
 
 let scheduler_metrics ~before ~after =
   let d line key = field (stats_line after line) key - field (stats_line before line) key in
@@ -263,39 +283,60 @@ let scheduler_metrics ~before ~after =
   metric "store.puts" "count" (float_of_int (d "store:" "puts"));
   cache_metrics ~before:(pipeline_caches before) ~after:(pipeline_caches after)
 
-(* Encode/decode cost and frame sizes of the (query, payload) pairs a
-   run exchanged, timed in-process on the same functions the client and
-   server frame with. *)
-let wire_metrics pairs =
+(* Frame sizes and encode/decode cost of the (query, payload) pairs a
+   run exchanged, on the program's own wire path: [Wire.write_request]
+   and [Wire.write_response] through a writer over /dev/null (one write
+   per frame, as on a socket), and [Wire.read_frame_view] +
+   [Sexp.of_substring] + [Wire.request_of_sexp] / [response_of_sexp]
+   through a reader over a file of the same frames. Both are per round
+   trip: one request and one response frame. Every frame must decode
+   back to what was encoded. *)
+let wire_metrics ~dir pairs =
   let n = Array.length pairs in
   if n > 0 then begin
-    let req q = Wire.Query { query = q; deadline_s = None } in
-    let resp p = Fact_sexp.Sexp.to_string (Wire.response_to_sexp (Wire.Payload { payload = p; source = Wire.Memory })) in
+    let reqs = Array.map (fun (q, _) -> Wire.Query { query = q; deadline_s = None }) pairs in
+    let resps = Array.map (fun (_, p) -> Wire.Payload { payload = p; source = Wire.Memory }) pairs in
+    let path = Filename.concat dir "frames" in
+    let fd = Unix.openfile path [ O_RDWR; O_CREAT; O_TRUNC ] 0o644 in
+    let w = Wire.writer fd in
+    let pos () = Unix.lseek fd 0 Unix.SEEK_CUR in
     let req_bytes = ref 0 and resp_bytes = ref 0 in
-    Array.iter
-      (fun (q, p) ->
-        req_bytes := !req_bytes + 4 + String.length (Fact_sexp.Sexp.to_string (Wire.request_to_sexp (req q)));
-        resp_bytes := !resp_bytes + 4 + String.length (resp p))
-      pairs;
-    let frames = Array.map (fun (_, p) -> resp p) pairs in
+    Array.iteri
+      (fun i r ->
+        let p0 = pos () in
+        Wire.write_request w r;
+        let p1 = pos () in
+        Wire.write_response w resps.(i);
+        req_bytes := !req_bytes + (p1 - p0);
+        resp_bytes := !resp_bytes + (pos () - p1))
+      reqs;
+    let r = Wire.reader fd in
+    let decode_all check =
+      ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+      for i = 0 to n - 1 do
+        let frame of_sexp =
+          match Wire.read_frame_view r ~max_frame:Wire.default_max_frame with
+          | Ok (raw, len) -> Result.bind (Fact_sexp.Sexp.of_substring raw ~pos:0 ~len) of_sexp
+          | Error _ -> Error "unreadable frame"
+        in
+        let q = frame Wire.request_of_sexp in
+        let p = frame Wire.response_of_sexp in
+        if check && (q <> Ok reqs.(i) || p <> Ok resps.(i)) then fail_check "wire round trip" 1
+      done
+    in
+    decode_all true;
+    let null = Unix.openfile "/dev/null" [ O_WRONLY ] 0 in
+    let wn = Wire.writer null in
     let reps = max 1 (20_000 / n) in
     let (), enc =
       time_ms (fun () ->
           for _ = 1 to reps do
-            Array.iter (fun (q, _) -> ignore (Fact_sexp.Sexp.to_string (Wire.request_to_sexp (req q)))) pairs
+            Array.iteri (fun i r -> Wire.write_request wn r; Wire.write_response wn resps.(i)) reqs
           done)
     in
-    let (), dec =
-      time_ms (fun () ->
-          for _ = 1 to reps do
-            Array.iter
-              (fun f ->
-                match Fact_sexp.Sexp.of_string f with
-                | Ok sx -> ignore (Wire.response_of_sexp sx)
-                | Error _ -> ())
-              frames
-          done)
-    in
+    let (), dec = time_ms (fun () -> for _ = 1 to reps do decode_all false done) in
+    Unix.close null;
+    Unix.close fd;
     let per = float_of_int (reps * n) in
     metric "wire.req_bytes" "bytes" (float_of_int !req_bytes /. float_of_int n);
     metric "wire.resp_bytes" "bytes" (float_of_int !resp_bytes /. float_of_int n);
@@ -377,11 +418,13 @@ let cold_load ~srv ~seed ~seconds ~trace =
   let g = Inputs.cold ~seed in
   let lock = Mutex.create () in
   let served = Array.make conns [] in
+  let pos = ref 0 in
   let next _ =
     Mutex.lock lock;
-    let q = Inputs.cold_next g in
+    let q = Inputs.cold_next g and i = !pos in
+    incr pos;
     Mutex.unlock lock;
-    Some (q, q)
+    Some (q, q, i / Inputs.cold_cycle_length land 1 = 1)
   in
   let accept c q ~req payload source =
     served.(c) <- { query = q; payload; req } :: served.(c);
@@ -437,7 +480,8 @@ let cold_layers ~dir served =
   metric "store.bytes_per_put" "bytes" (float_of_int bytes /. float_of_int (max 1 (Array.length served)));
   metric "scheduler.queue_wait_ms" "ms" (mean (Array.to_list waits));
   metric "ra.keep_ratio" "ratio" (mean !keep_ratio);
-  wire_metrics (Array.map (fun s -> (s.query, s.payload)) served)
+  replayed_ops := Some (Array.length served);
+  wire_metrics ~dir (Array.map (fun s -> (s.query, s.payload)) served)
 
 let serve_cold ~cli ~dir ~seed ~seconds ~trace =
   let srv, setup_s =
@@ -482,9 +526,11 @@ let serve_hot ~cli ~dir ~seed ~seconds ~trace =
   in
   let nkeys = Array.length keys in
   let streams = Array.init conns (fun c -> Inputs.hot_stream ~seed ~conn:c ~keys:nkeys) in
+  let sent = Array.make conns 0 in
   let next c =
     let k = streams.(c) () in
-    Some (keys.(k), k)
+    sent.(c) <- sent.(c) + 1;
+    Some (keys.(k), k, sent.(c) land 1 = 0)
   in
   let accept _ k ~req:_ payload source =
     match source with
@@ -522,7 +568,7 @@ let serve_hot ~cli ~dir ~seed ~seconds ~trace =
                                               @ Spans.durations "client.setcon" @ Spans.durations "client.fairness"
                                               @ Spans.durations "client.chr")) *. 1000. in
     metric "listener.rtt_overhead_us" "us" (rtt_us -. Stats.median lat);
-    wire_metrics (Array.init 20_000 (fun _ -> let k = next () in (keys.(k), expected.(k))))
+    wire_metrics ~dir (Array.init 20_000 (fun _ -> let k = next () in (keys.(k), expected.(k))))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -609,16 +655,28 @@ let decide_one = function
         (st.Explore.runs, st.Explore.pruned, st.Explore.truncated, st.Explore.crash_patterns))
       (4825, 14762, 3)
 
-let decide ~seed ~seconds ~trace =
-  let setups =
-    List.init setups (fun _ ->
-        snd
-          (time_ms (fun () ->
-               let g = Inputs.decide ~seed in
-               ignore (Inputs.decide_next g))))
-  in
-  let setup_s = Stats.median (Array.of_list setups) /. 1000. in
+(* One set-up of decide: the instance generator, then, from cold
+   caches, the R_A protocol complex of set consensus at n=3 for
+   [setup_advs] seeded fair adversaries ([Ra.of_adversary] +
+   [Affine_task.apply]), the first work a batch of decisions does. *)
+let setup_advs = 24
+
+let decide_setup ~seed =
+  Cache.clear_all ();
   let g = Inputs.decide ~seed in
+  let inputs = (Set_consensus.task_fixed ~n:3 ~k:1 ~inputs:[ 0; 1; 2 ]).Task.inputs in
+  List.iter
+    (fun live -> ignore (Affine_task.apply (Ra.of_adversary (Adversary.make ~n:3 (List.map Pset.of_list live))) inputs))
+    (Inputs.decide_setup_adversaries g setup_advs);
+  g
+
+let decide ~seed ~seconds ~trace =
+  let enabled = !Spans.enabled in
+  Spans.enabled := false;
+  let setups = List.init setups (fun _ -> time_ms (fun () -> decide_setup ~seed)) in
+  Spans.enabled := enabled;
+  let setup_s = Stats.median (Array.of_list (List.map snd setups)) /. 1000. in
+  let g = fst (List.nth setups (List.length setups - 1)) in
   let op _ = Spans.span "decide.op" (fun () -> decide_one (Inputs.decide_next g)) in
   let certified () =
     let certified (n, ell, range, m) =
@@ -667,13 +725,6 @@ let decide ~seed ~seconds ~trace =
 (* Main                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let per_layer_defaults () =
-  (* every per-layer metric is reported; a layer the workload does not
-     exercise reads 0 *)
-  List.iter
-    (fun (name, unit_) -> if not (List.exists (fun (n, _, _) -> n = name) run.metrics) then metric name unit_ 0.)
-    Layers.metrics
-
 let () =
   let workload = ref "" and seed = ref 0 and seconds = ref 10. and trace = ref 0 in
   let cli = ref "" in
@@ -707,15 +758,11 @@ let () =
   note "host_steal_pct" (Printf.sprintf "%.1f" (100. *. float_of_int (steal1 - steal0) /. float_of_int (max 1 (total1 - total0))));
   if trace then begin
     List.iter (fun (k, l) -> metric k "ms" (mean l)) (Hashtbl.fold (fun k l a -> (k, l) :: a) layer_acc []);
-    (* self time per traced request; the in-process phases of a cold
-       run replay exactly the requests it served *)
-    let ops = float_of_int (max 1 !traced_ops) in
-    List.iter (fun (layer, ms) -> metric ("self_ms." ^ layer) "ms/op" (ms /. ops)) (Spans.self_ms ());
+    List.iter
+      (fun (layer, ms) -> metric ("self_ms." ^ layer) "ms/op" (ms /. float_of_int (max 1 (span_ops layer))))
+      (Spans.self_ms ());
     metric "parallel.domain_spawns" "count" (float_of_int (Parallel.domain_spawns ()));
-    Spans.write (Filename.concat out (Printf.sprintf "trace-%s.jsonl" tag));
-    let known = Layers.metrics in
-    run.metrics <- List.filter (fun (n, _, _) -> List.mem_assoc n known) run.metrics;
-    per_layer_defaults ()
+    Spans.write (Filename.concat out (Printf.sprintf "trace-%s.jsonl" tag))
   end
   else report_ok_frac ();
   let env =
@@ -724,6 +771,7 @@ let () =
       ("trace", string_of_bool trace); ("nproc", string_of_int nproc); ("ocaml", Sys.ocaml_version);
       ("domains", string_of_int default_domains); ("connections", string_of_int (if serving then conns else 1));
       ("store_fs", Procinfo.fs_type dir);
+      ("setup_sockets_left_behind", string_of_int !setup_sockets_left);
     ]
     @ List.rev run.notes
   in

@@ -37,22 +37,70 @@ def env():
     return e
 
 
+def declared(trace):
+    """The metrics BENCHMARK.json declares for this kind of run."""
+    with open("BENCHMARK.json") as f:
+        spec = json.load(f)
+    return [(m["name"], m["unit"]) for m in spec["per_layer" if trace else "end_to_end"]]
+
+
+def conform(result, trace, workload):
+    """Check a result's metrics against BENCHMARK.json.
+
+    An end-to-end metric that is missing, or any metric BENCHMARK.json
+    does not declare, makes the run incorrect. A per-layer metric the
+    workload does not exercise is reported as 0 and named on stderr.
+    """
+    metrics = result["metrics"]
+    wanted = declared(trace)
+    names = {name for name, _ in wanted}
+    problems = [f"undeclared metric {n}" for n in metrics if n not in names]
+    unmeasured = []
+    for name, unit in wanted:
+        if name in metrics:
+            if metrics[name]["unit"] != unit:
+                problems.append(f"{name} in {metrics[name]['unit']}, declared {unit}")
+        elif trace:
+            unmeasured.append(name)
+            metrics[name] = {"value": 0, "unit": unit}
+        else:
+            problems.append(f"missing metric {name}")
+    if unmeasured:
+        print(f"not exercised by {workload}, reported as 0: {' '.join(unmeasured)}", file=sys.stderr)
+    for p in problems:
+        print(f"result check: {p}", file=sys.stderr)
+    if problems:
+        result["correct"] = False
+    result["metrics"] = {name: metrics[name] for name, _ in wanted if name in metrics}
+    return result
+
+
 def once(args, seed):
+    """One run: (exit code, lines before the result, result or None)."""
     cmd = [EXE, "--workload", args.workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--cli", CLI]
-    return subprocess.run(cmd, env=env(), stdout=subprocess.PIPE, text=True)
+    p = subprocess.run(cmd, env=env(), stdout=subprocess.PIPE, text=True)
+    lines = p.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return (p.returncode or 1), lines, None
+    result = conform(result, args.trace == 1, args.workload)
+    code = p.returncode if result["correct"] else (p.returncode or 1)
+    return code, lines[:-1], result
 
 
 def repeat(args):
     values = {}
     for i in range(args.repeat):
-        p = once(args, args.seed + i)
-        sys.stderr.write(p.stdout)
-        if p.returncode != 0:
-            print(f"run with seed {args.seed + i} failed (exit {p.returncode})")
+        code, lines, result = once(args, args.seed + i)
+        for line in lines + [json.dumps(result)]:
+            print(line, file=sys.stderr)
+        if code != 0:
+            print(f"run with seed {args.seed + i} failed (exit {code})")
             return 1
-        for name, m in json.loads(p.stdout.strip().splitlines()[-1])["metrics"].items():
+        for name, m in result["metrics"].items():
             values.setdefault(name, (m["unit"], []))[1].append(m["value"])
     print(f"{args.workload}: {args.repeat} runs, seeds {args.seed}..{args.seed + args.repeat - 1}")
     for name, (unit, vs) in values.items():
@@ -75,9 +123,12 @@ def main():
         return 2
     if args.repeat > 0:
         return repeat(args)
-    p = once(args, args.seed)
-    sys.stdout.write(p.stdout)
-    return p.returncode
+    code, lines, result = once(args, args.seed)
+    for line in lines:
+        print(line)
+    if result is not None:
+        print(json.dumps(result))
+    return code
 
 
 if __name__ == "__main__":

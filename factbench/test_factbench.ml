@@ -11,6 +11,8 @@ let hot seed = String.concat "\n" (Array.to_list (Array.map Inputs.render_query 
 let hot_idx seed = Inputs.hot_sequence ~seed ~conn:0 ~keys:36 500
 let decide seed = String.concat "\n" (List.map Inputs.render_instance (Inputs.decide_sequence ~seed 200))
 
+let setup_advs seed = Inputs.decide_setup_adversaries (Inputs.decide ~seed) 12
+
 let test_seeds () =
   Alcotest.(check string) "cold: same seed, same bytes" (cold 7) (cold 7);
   check_bool "cold: other seed differs" true (cold 7 <> cold 8);
@@ -19,7 +21,13 @@ let test_seeds () =
   Alcotest.(check (list int)) "hot stream: same seed" (hot_idx 7) (hot_idx 7);
   check_bool "hot stream: other seed differs" true (hot_idx 7 <> hot_idx 8);
   Alcotest.(check string) "decide: same seed" (decide 7) (decide 7);
-  check_bool "decide: other seed differs" true (decide 7 <> decide 8)
+  check_bool "decide: other seed differs" true (decide 7 <> decide 8);
+  Alcotest.(check (list (list (list int)))) "decide set-up: same seed" (setup_advs 7) (setup_advs 7);
+  check_bool "decide set-up: other seed differs" true (setup_advs 7 <> setup_advs 8);
+  let g = Inputs.decide ~seed:7 in
+  ignore (Inputs.decide_setup_adversaries g 12);
+  Alcotest.(check string) "decide set-up leaves the sequence as it was" (decide 7)
+    (String.concat "\n" (List.init 200 (fun _ -> Inputs.render_instance (Inputs.decide_next g))))
 
 let test_cold_distinct () =
   let qs = List.map Inputs.render_query (Inputs.cold_sequence ~seed:3 1000) in
