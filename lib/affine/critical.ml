@@ -70,13 +70,15 @@ let analyze_uncached alpha sigma =
         conc := max !conc a_car
       end)
     !groups;
-  (Simplex.restrict sigma !csm_colors, !csv, !conc)
+  (!csm_colors, !csv, !conc)
 
 (* Memoized per (agreement-function stamp, simplex), in one bounded
    cache safe to hit from worker domains; computation happens outside
    the cache lock and a racing duplicate insert is dropped. Polls the
    ambient cancellation token: [analyze] is the inner loop of the R_A
-   facet filter, so cancellation latency stays at one analysis. *)
+   facet filter, so cancellation latency stays at one analysis. The
+   value holds CSM as a color set, not as a simplex: one entry is a
+   few words, and an n=4 R_A adds thousands of entries. *)
 module Stamped_cache = Fact_resilience.Cache.Make (struct
   type t = int * Simplex.t
 
@@ -84,11 +86,8 @@ module Stamped_cache = Fact_resilience.Cache.Make (struct
   let hash (s, x) = (s * 0x9e3779b1) lxor Simplex.hash x
 end)
 
-let cache : (Simplex.t * Pset.t * int) Stamped_cache.t =
-  Stamped_cache.create ~name:"critical.analyze"
-    ~equal:(fun (m1, v1, c1) (m2, v2, c2) ->
-      Simplex.equal m1 m2 && Pset.equal v1 v2 && c1 = c2)
-    ()
+let cache : (Pset.t * Pset.t * int) Stamped_cache.t =
+  Stamped_cache.create ~name:"critical.analyze" ~equal:( = ) ()
 
 let analyze alpha sigma =
   Fact_resilience.Cancel.poll ~where:"Critical.analyze";
@@ -98,7 +97,7 @@ let analyze alpha sigma =
 
 let members alpha sigma =
   let m, _, _ = analyze alpha sigma in
-  m
+  Simplex.restrict sigma m
 
 let view alpha sigma =
   let _, v, _ = analyze alpha sigma in

@@ -25,8 +25,8 @@ val view : Agreement.t -> Simplex.t -> Pset.t
 (** [CSV_α(σ) = χ(carrier(CSM_α(σ), s))]: the processes observed by
     critical simplices in their View1. *)
 
-val analyze : Agreement.t -> Simplex.t -> Simplex.t * Pset.t * int
-(** [(CSM_α σ, CSV_α σ, Conc_α σ)] in one pass, memoized per
+val analyze : Agreement.t -> Simplex.t -> Pset.t * Pset.t * int
+(** [(χ(CSM_α σ), CSV_α σ, Conc_α σ)] in one pass, memoized per
     (agreement-function {!Agreement.stamp}, simplex). {!members},
     {!view} and {!Concurrency.level} all go through this cache, which
     is safe to hit from multiple domains. *)

@@ -13,7 +13,7 @@ let face_ok variant alpha ~rho theta =
   else
     let tau = Simplex.carrier theta in
     let chi_theta = Simplex.colors theta in
-    let csm_rho = Simplex.colors (Critical.members alpha rho) in
+    let csm_rho, _, _ = Critical.analyze alpha rho in
     let csv_tau = Critical.view alpha tau in
     let exempt =
       match variant with
@@ -35,7 +35,9 @@ let offending_faces ?(variant = default_variant) alpha sigma =
    facet test below enumerates faces as bitmasks over the facet's
    vertices instead:
 
-   - views are fetched once per vertex ([Views.views], memoized);
+   - views and carriers are fetched once per vertex, memoized and
+     keyed by the intern ids the facet already holds
+     ([Views.views_of_simplex], [Simplex.vertex_carriers]);
    - the contention predicate is pairwise, so a face is a contention
      simplex iff its mask is a clique of the precomputed k×k
      "contending" adjacency masks — integer tests per face;
@@ -43,13 +45,13 @@ let offending_faces ?(variant = default_variant) alpha sigma =
      its memoized CSM/CSV/Conc analysis looked up, and even then τ is
      a union of memoized per-vertex carriers — no face simplex is ever
      constructed. *)
-let facet_ok_uncached variant alpha sigma =
+let facet_ok ?(variant = default_variant) alpha sigma =
   let vs = Array.of_list (Simplex.vertices sigma) in
   let k = Array.length vs in
   let rho = Simplex.carrier sigma in
-  let csm_rho = Simplex.colors (Critical.members alpha rho) in
-  let views = Array.map Views.views vs in
-  let vcar = Array.map Simplex.vertex_carrier vs in
+  let csm_rho, _, _ = Critical.analyze alpha rho in
+  let views = Views.views_of_simplex sigma in
+  let vcar = Simplex.vertex_carriers sigma in
   let col = Array.map (fun v -> Pset.singleton (Vertex.proc v)) vs in
   (* contend.(i): bitmask of the j whose vertex contends with vertex i *)
   let contend = Array.make k 0 in
@@ -118,44 +120,53 @@ let facet_ok_uncached variant alpha sigma =
   done;
   !ok
 
-(* The verdict itself is memoized per (agreement stamp, variant,
-   facet): repeated [complex] calls for the same α reduce to a table
-   scan over the facets of [Chr² s]. Bounded by FACT_CACHE_CAP;
-   eviction only costs recomputation. *)
-module Verdict_cache = Fact_resilience.Cache.Make (struct
-  type t = int * variant * Simplex.t
+(* The verdicts of all the facets of [Chr² s] are memoized together,
+   one entry per (agreement stamp, variant, n): the value is the kept
+   set as a bitset over the positions of [Complex.facets chr2] (704
+   bytes at n=4). Facet order is canonical, so the positions stay valid
+   even if [Chr² s] itself is evicted and rebuilt. Bounded by
+   FACT_CACHE_CAP; eviction only costs recomputation. *)
+module Kept_cache = Fact_resilience.Cache.Make (struct
+  type t = int * variant * int
 
-  let equal (s1, v1, x1) (s2, v2, x2) =
-    s1 = s2 && v1 = v2 && Simplex.equal x1 x2
-
-  let hash (s, v, x) = Hashtbl.hash (s, v, Simplex.hash x)
+  let equal = ( = )
+  let hash = Hashtbl.hash
 end)
 
-let ok_cache : bool Verdict_cache.t =
-  Verdict_cache.create ~name:"ra.facet_ok" ~equal:Bool.equal ()
+let kept_cache : Bytes.t Kept_cache.t =
+  Kept_cache.create ~name:"ra.facet_ok" ~equal:Bytes.equal ()
 
-let facet_ok ?(variant = default_variant) alpha sigma =
-  Verdict_cache.find_or_add ok_cache
-    (Agreement.stamp alpha, variant, sigma)
-    (fun _ -> facet_ok_uncached variant alpha sigma)
+let bit_mem bits i = Bytes.get_uint8 bits (i lsr 3) land (1 lsl (i land 7)) <> 0
 
-(* Facets are filtered independently, so the scan fans out over
-   domains; workers only hit mutex-protected memo tables and build
-   immutable values, and kept facets are re-assembled into a complex
-   on the calling domain. The ambient cancellation token is polled
-   once per facet — even on cache hits, so a warm R_A still cancels
-   promptly. *)
+let bit_add bits i =
+  Bytes.set_uint8 bits (i lsr 3) (Bytes.get_uint8 bits (i lsr 3) lor (1 lsl (i land 7)))
+
+(* On a miss the facets are filtered independently, so the scan fans
+   out over domains; workers only hit mutex-protected memo tables and
+   build immutable values. Either way the complex is rebuilt from the
+   bitset by one filter over [Chr² s], with no hashing. The ambient
+   cancellation token is polled once per facet in the scan and in the
+   rebuild, so a warm R_A still cancels within one facet. *)
 let complex ?(variant = default_variant) alpha ~n =
   let chr2 = Chr.standard_iterated ~m:2 ~n in
+  let poll () = Fact_resilience.Cancel.poll ~where:"Ra.complex" in
   let kept =
-    Parallel.map
-      (fun f ->
-        Fact_resilience.Cancel.poll ~where:"Ra.complex";
-        if facet_ok ~variant alpha f then Some f else None)
-      (Complex.facets chr2)
-    |> List.filter_map Fun.id
+    Kept_cache.find_or_add kept_cache (Agreement.stamp alpha, variant, n)
+      (fun _ ->
+        let bits = Bytes.make ((Complex.facet_count chr2 + 7) / 8) '\000' in
+        Parallel.map
+          (fun f ->
+            poll ();
+            facet_ok ~variant alpha f)
+          (Complex.facets chr2)
+        |> List.iteri (fun i ok -> if ok then bit_add bits i);
+        bits)
   in
-  Complex.of_facets ~n kept
+  Complex.filteri_facets
+    (fun i ->
+      poll ();
+      bit_mem kept i)
+    chr2
 
 let task ?(variant = default_variant) alpha ~n =
   Affine_task.make ~ell:2 (complex ~variant alpha ~n)

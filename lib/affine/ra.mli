@@ -23,9 +23,15 @@ type variant =
 val default_variant : variant
 
 val facet_ok : ?variant:variant -> Agreement.t -> Simplex.t -> bool
-(** Does this facet of [Chr² s] satisfy the [R_A] condition? *)
+(** Does this facet of [Chr² s] satisfy the [R_A] condition? Evaluated
+    directly, so it also serves facets of [Chr² s] for [n] too large to
+    enumerate; not memoized. *)
 
 val complex : ?variant:variant -> Agreement.t -> n:int -> Complex.t
+(** The facets of [Chr² s] that pass {!facet_ok}. The verdicts are
+    memoized as one [ra.facet_ok] cache entry per agreement function,
+    variant and [n], so a repeated call is one filter over [Chr² s]. *)
+
 val task : ?variant:variant -> Agreement.t -> n:int -> Affine_task.t
 
 val of_adversary : ?variant:variant -> Adversary.t -> Affine_task.t

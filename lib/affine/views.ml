@@ -36,6 +36,13 @@ let views v =
   level2 "views" v;
   Int_cache.find_or_add cache (Vertex.id v) (fun _ -> compute v)
 
+let views_of_simplex sigma =
+  let ids = Simplex.vertex_ids sigma in
+  Array.of_list (Simplex.vertices sigma)
+  |> Array.mapi (fun j v ->
+         level2 "views" v;
+         Int_cache.find_or_add cache ids.(j) (fun _ -> compute v))
+
 let view1 v =
   level2 "view1" v;
   fst (views v)

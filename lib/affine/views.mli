@@ -21,6 +21,11 @@ val views : Vertex.t -> Pset.t * Pset.t
 (** [(view1 v, view2 v)] in one memoized lookup (cached per vertex
     intern id). *)
 
+val views_of_simplex : Simplex.t -> (Pset.t * Pset.t) array
+(** {!views} of every vertex of a simplex of [Chr² s], in
+    {!Simplex.vertices} order, keyed by the intern ids the simplex
+    already holds instead of re-interning each vertex. *)
+
 val chr1_carrier : Vertex.t -> Simplex.t
 (** [carrier(v, Chr s)] as a simplex of [Chr s]. *)
 

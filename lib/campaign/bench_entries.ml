@@ -227,6 +227,24 @@ let serve_entries () =
               (fun () -> Client.query c q);
           ]))
 
+(* one cold n=4 [ra] query as [fact serve] computes it: R_A, closure
+   counts, volume, the link check and the 15 restrictions. Every rep
+   builds a fresh agreement function, so the verdict caches keyed by it
+   (ra.facet_ok, critical.analyze) start empty; Chr² s and the
+   per-vertex views stay warm from the warmup run, as in a long-lived
+   server. *)
+let ra_query_entries () =
+  let adv = Query.Live [ [ 0; 2 ]; [ 3 ]; [ 2; 3 ] ] in
+  [
+    entry ~name:"ra_query" ~n:4 ~reps:5
+      ~facets:(fun () ->
+        Complex.facet_count
+          (Ra.complex
+             (Agreement.of_adversary (Query.adversary ~n:4 adv))
+             ~n:4))
+      (fun () -> Query.eval (Query.Ra { n = 4; adv }));
+  ]
+
 (* advertised names, execution order; groups share setup *)
 let groups :
     (string list * (unit -> result list)) list Lazy.t =
@@ -239,6 +257,7 @@ let groups :
         explore_entries );
       ([ "ra_1res_cap64" ], capped_entries);
       ([ "serve_ra_cold_oneshot"; "serve_ra_warm" ], serve_entries);
+      ([ "ra_query" ], ra_query_entries);
     ]
 
 let names = List.concat_map fst (Lazy.force groups)

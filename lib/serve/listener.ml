@@ -56,19 +56,21 @@ let is_stopping t =
 
 (* Wake the accept loop so it can exit. [shutdown] (not [close]) on
    the listening socket: a blocked [accept] does not notice a plain
-   close, but shutdown makes it return EINVAL immediately. The fd is
-   closed in {!stop}, after the accept thread is joined. Safe from any
-   thread, once. *)
+   close, but shutdown makes it return EINVAL immediately. The socket
+   file goes first: once the accept loop is awake, {!wait} may return
+   and the process exit, so anything left to do after the wake-up may
+   never happen. The fd is closed in {!stop}, after the accept thread
+   is joined. Safe from any thread, once. *)
 let initiate_stop t =
   Mutex.lock t.lock;
   let first = not t.stopping in
   t.stopping <- true;
   Mutex.unlock t.lock;
   if first then begin
-    (try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    match t.addr_ with
+    (match t.addr_ with
     | Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
-    | Tcp _ -> ()
+    | Tcp _ -> ());
+    try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
   end
 
 (* --------------------------- connections --------------------------- *)

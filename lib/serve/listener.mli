@@ -59,4 +59,5 @@ val stop : t -> unit
 
 val wait : t -> unit
 (** Blocks until the listener stops — either {!stop} from another
-    thread or a client [Shutdown] request. *)
+    thread or a client [Shutdown] request. A Unix socket file is
+    already removed when it returns. *)

@@ -95,14 +95,12 @@ let run_of_facet sigma =
 let carrier = Simplex.carrier
 
 let is_simplex_of_chr sigma =
+  let vs = Simplex.vertices sigma in
+  if List.exists (function Vertex.Input _ -> true | Vertex.Deriv _ -> false) vs
+  then invalid_arg "Chr.is_simplex_of_chr: base-level vertex";
   let entries =
-    List.map
-      (fun v ->
-        match v with
-        | Vertex.Deriv _ -> (Vertex.proc v, Simplex.vertex_carrier v)
-        | Vertex.Input _ ->
-          invalid_arg "Chr.is_simplex_of_chr: base-level vertex")
-      (Simplex.vertices sigma)
+    List.combine (List.map Vertex.proc vs)
+      (Array.to_list (Simplex.vertex_carriers sigma))
   in
   (* containment: carriers pairwise ordered by inclusion;
      immediacy: c_i ∈ χ(σ_j) implies σ_i ⊆ σ_j;

@@ -256,12 +256,8 @@ let restrict_colors colors t =
   let gens =
     Array.fold_left
       (fun acc f ->
-        let vs =
-          List.filter
-            (fun v -> Pset.subset (Vertex.base_carrier v) colors)
-            (Simplex.vertices f)
-        in
-        match vs with [] -> acc | _ -> Simplex.make vs :: acc)
+        let g = Simplex.restrict_base f colors in
+        if Simplex.is_empty g then acc else g :: acc)
       [] t.arr
   in
   of_facets ~n:t.n gens
@@ -280,6 +276,13 @@ let euler_characteristic t =
     e
 
 let filter_facets p t = of_arr ~n:t.n (array_filter p t.arr)
+
+let filteri_facets p t =
+  let kept = ref [] in
+  for i = Array.length t.arr - 1 downto 0 do
+    if p i then kept := t.arr.(i) :: !kept
+  done;
+  of_arr ~n:t.n (Array.of_list !kept)
 
 (* Merge two strictly ascending facet arrays (dropping duplicates),
    then re-maximalize: the merge keeps the canonical order without a

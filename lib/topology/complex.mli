@@ -93,6 +93,12 @@ val euler_characteristic : t -> int
     result is cached either way. *)
 
 val filter_facets : (Simplex.t -> bool) -> t -> t
+
+val filteri_facets : (int -> bool) -> t -> t
+(** The sub-complex of the facets whose position in {!facets} satisfies
+    the predicate. Facet order is canonical, so a position names the
+    same facet in every equal complex. *)
+
 val union : t -> t -> t
 val subcomplex : t -> t -> bool
 (** [subcomplex a b]: every facet of [a] is a simplex of [b]. *)

@@ -19,8 +19,12 @@ val is_connected : Complex.t -> bool
     vertices)? The empty complex counts as connected. *)
 
 val is_link_connected : Complex.t -> bool
-(** Are the links of all vertices connected? *)
+(** Are the links of all vertices connected? Same as
+    [disconnected_vertices k = []]. *)
 
 val disconnected_vertices : Complex.t -> Vertex.t list
 (** The vertices whose links are disconnected (witnesses for
-    non-link-connectivity). *)
+    non-link-connectivity), in {!Complex.vertices} order. Equal to
+    filtering {!Complex.vertices} by [not (is_connected (link {v} k))],
+    but computed in one pass over the facets without building any link:
+    O(F·k²) for F facets of k vertices, plus a sort of the witnesses. *)

@@ -230,6 +230,10 @@ let select t keep =
 let restrict t s =
   select t (Array.map (fun v -> Pset.mem (Vertex.proc v) s) t.varr)
 
+(* Reads the base carriers cached at intern time: no tree walk, no
+   re-interning. *)
+let restrict_base t s = select t (Array.map (fun i -> Pset.subset i.vbc s) t.info)
+
 let diff a b = select a (Array.map (fun i -> not (key_mem i.vid b.key)) a.info)
 let inter a b = select a (Array.map (fun i -> key_mem i.vid b.key) a.info)
 
@@ -354,19 +358,30 @@ let proper_faces t =
 let carrier_lock = Mutex.create ()
 let carrier_tbl : (int, t) Hashtbl.t = Hashtbl.create 1024
 
+let carrier_of_id_locked i v =
+  match Hashtbl.find_opt carrier_tbl i with
+  | Some s -> s
+  | None ->
+    let s = make (Vertex.carrier v) in
+    Hashtbl.add carrier_tbl i s;
+    s
+
 let vertex_carrier v =
   let i = Vertex.id v in
   Mutex.lock carrier_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock carrier_lock) (fun () ->
-      match Hashtbl.find_opt carrier_tbl i with
-      | Some s -> s
-      | None ->
-        let s = make (Vertex.carrier v) in
-        Hashtbl.add carrier_tbl i s;
-        s)
+      carrier_of_id_locked i v)
 
-let carrier_raw t =
-  Array.fold_left (fun acc v -> union acc (vertex_carrier v)) empty t.varr
+(* The ids are already in [info]: no re-interning walk per vertex, and
+   one lock for the whole simplex. *)
+let vertex_carriers t =
+  Mutex.lock carrier_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock carrier_lock) (fun () ->
+      Array.mapi (fun j v -> carrier_of_id_locked t.info.(j).vid v) t.varr)
+
+let vertex_ids t = Array.map (fun i -> i.vid) t.info
+
+let carrier_raw t = Array.fold_left union empty (vertex_carriers t)
 
 let base_carrier t = t.base
 

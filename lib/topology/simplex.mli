@@ -53,6 +53,11 @@ val subset : t -> t -> bool
 val restrict : t -> Pset.t -> t
 (** Sub-simplex of the vertices whose color lies in the given set. *)
 
+val restrict_base : t -> Pset.t -> t
+(** Sub-simplex of the vertices whose base carrier
+    ({!Vertex.base_carrier}) lies in the given set. O(k): reads the
+    carriers cached at intern time and reuses the parent's metadata. *)
+
 val union : t -> t -> t
 (** Union as vertex sets. Raises [Invalid_argument] if two distinct
     vertices share a color. *)
@@ -106,6 +111,15 @@ val carrier : t -> t
 val vertex_carrier : Vertex.t -> t
 (** The carrier of a single vertex as a simplex, memoized per vertex
     intern id: for [Deriv (p, σ)] this is σ, built once and shared. *)
+
+val vertex_carriers : t -> t array
+(** {!vertex_carrier} of every vertex, in {!vertices} order, looked up
+    by the intern ids the simplex already holds: no per-vertex
+    re-interning. *)
+
+val vertex_ids : t -> int array
+(** The intern ids ({!Vertex.id}) of the vertices, in {!vertices}
+    order. *)
 
 val base_carrier : t -> Pset.t
 (** [χ(carrier(σ, s))]: processes of the base complex seen by the

@@ -454,6 +454,74 @@ let test_link_connectivity_of_affine_tasks () =
      link-connected. *)
   check_bool "Chr^2 link-connected" true (Link.is_link_connected chr2_3)
 
+(* A seeded random n=4 adversary: 1 to 6 live sets. *)
+let random_adversary_n4 seed =
+  let rng = Random.State.make [| seed |] in
+  Adversary.make ~n:4
+    (List.init
+       (1 + Random.State.int rng 6)
+       (fun _ -> Pset.of_mask (1 + Random.State.int rng 15)))
+
+let test_link_and_delta_by_definition () =
+  (* The one-pass link check and the carrier-cached restriction against
+     their definitions (see [Test_topology.check_kernels_by_definition])
+     on affine tasks, whose links can be disconnected. *)
+  let check_k = Test_topology.check_kernels_by_definition in
+  check_k "R_1-res n=3" (Rtres.complex ~n:3 ~t:1);
+  check_k "R_1-res n=4" (Rtres.complex ~n:4 ~t:1);
+  check_k "R_1-OF" ra_1of;
+  check "R_1-OF disconnected links" 3
+    (List.length (Link.disconnected_vertices ra_1of));
+  List.iter
+    (fun seed ->
+      let a = random_adversary_n4 seed in
+      check_k
+        (Format.asprintf "R_A n=4 seed %d %a" seed Adversary.pp a)
+        (Ra.complex (Agreement.of_adversary a) ~n:4))
+    [ 1; 2; 3; 4; 5 ]
+
+let ra_cache_stats () = List.assoc "ra.facet_ok" (Fact_resilience.Cache.all_stats ())
+
+let test_ra_cache_paths () =
+  (* One ra.facet_ok entry per agreement function: a miss computes it,
+     a hit rebuilds R_A from it; neither, nor a cleared or capped cache,
+     may change the complex. *)
+  let module Cache = Fact_resilience.Cache in
+  let old_cap = Cache.default_cap () in
+  Fun.protect
+    ~finally:(fun () -> Cache.set_default_cap old_cap)
+    (fun () ->
+      List.iter
+        (fun (name, alpha, n) ->
+          Cache.clear_all ();
+          let s0 = ra_cache_stats () in
+          let miss = Ra.complex alpha ~n in
+          let s1 = ra_cache_stats () in
+          let hit = Ra.complex alpha ~n in
+          let s2 = ra_cache_stats () in
+          check (name ^ ": one miss") 1 (s1.Cache.misses - s0.Cache.misses);
+          check (name ^ ": one entry") 1 s1.Cache.size;
+          check (name ^ ": then one hit") 1 (s2.Cache.hits - s1.Cache.hits);
+          check_bool (name ^ ": hit = miss") true (Complex.equal miss hit);
+          Cache.clear_all ();
+          check_bool (name ^ ": after clear_all") true
+            (Complex.equal miss (Ra.complex alpha ~n));
+          List.iter
+            (fun cap ->
+              Cache.set_default_cap cap;
+              Cache.clear_all ();
+              let first = Ra.complex alpha ~n in
+              let again = Ra.complex alpha ~n in
+              check_bool (Printf.sprintf "%s: cap %d" name cap) true
+                (Complex.equal miss first && Complex.equal miss again))
+            [ 0; 64 ];
+          Cache.set_default_cap old_cap)
+        [
+          ("fig5b", alpha_5b, 3);
+          ("1-res n=3", Agreement.of_adversary (Adversary.t_resilient ~n:3 ~t:1), 3);
+          ("random n=4", Agreement.of_adversary (random_adversary_n4 7), 4);
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -531,6 +599,10 @@ let suite =
       ("µ_Q errors", `Quick, test_mu_errors);
       ("link-connectivity of affine tasks (§8)", `Quick,
        test_link_connectivity_of_affine_tasks);
+      ("link and delta kernels = definitions on affine tasks", `Quick,
+       test_link_and_delta_by_definition);
+      ("R_A identical across cache hit, miss, clear and caps", `Quick,
+       test_ra_cache_paths);
       QCheck_alcotest.to_alcotest prop_cont2_inclusion_closed;
       QCheck_alcotest.to_alcotest prop_ra_facets_pass_their_own_check;
       QCheck_alcotest.to_alcotest prop_mu_agreement_random_adversary;

@@ -544,6 +544,24 @@ let test_bind_failure_typed () =
       (Fact_error.is_unavailable (Fact_error.Error e)));
   Listener.stop l1
 
+(* The socket file is removed before the accept loop is woken, so by
+   the time [wait] returns — after which a server process may exit at
+   once — the path is gone. Repeated: removing it after the wake-up
+   loses this race only now and then. *)
+let test_shutdown_removes_socket () =
+  let dir = fresh_dir () in
+  let sock = Filename.concat dir "stop.sock" in
+  for _ = 1 to 20 do
+    let l = Listener.start ~handler:(fun _ -> Wire.Pong) (Listener.Unix_sock sock) in
+    check_bool "socket bound" true (Sys.file_exists sock);
+    Client.with_connection (Listener.Unix_sock sock) Client.shutdown;
+    Listener.wait l;
+    check_bool "socket removed once the listener stops" false
+      (Sys.file_exists sock);
+    Listener.stop l
+  done;
+  rm_rf dir
+
 let test_client_unavailable_retry () =
   let dir = fresh_dir () in
   let missing = Listener.Unix_sock (Filename.concat dir "absent.sock") in
@@ -811,6 +829,8 @@ let suite =
     Alcotest.test_case "wire adversarial io" `Quick test_wire_adversarial_io;
     Alcotest.test_case "bind failure typed unavailable" `Quick
       test_bind_failure_typed;
+    Alcotest.test_case "shutdown removes socket before waking" `Quick
+      test_shutdown_removes_socket;
     Alcotest.test_case "client unavailable + retry budget" `Quick
       test_client_unavailable_retry;
     Alcotest.test_case "ring determinism + balance" `Quick

@@ -637,6 +637,59 @@ let test_link_of_missing_simplex () =
   let foreign = Simplex.of_vertex (Vertex.base 0) in
   check_bool "empty" true (Complex.is_empty (Link.link foreign chr1))
 
+(* The definitions the one-pass kernels must agree with: the link of
+   every vertex built by [Link.link] and tested by [Link.is_connected],
+   and restriction as filter-by-[Vertex.base_carrier], then
+   [Simplex.make]. Both run on a fresh copy of the complex, so no
+   closure they force is left cached on a shared one. *)
+let disconnected_by_definition k =
+  let k = Complex.of_facets ~n:(Complex.n k) (Complex.facets k) in
+  List.filter
+    (fun v -> not (Link.is_connected (Link.link (Simplex.of_vertex v) k)))
+    (Complex.vertices k)
+
+let restrict_colors_by_definition colors k =
+  Complex.of_facets ~n:(Complex.n k)
+    (List.filter_map
+       (fun f ->
+         match
+           List.filter
+             (fun v -> Pset.subset (Vertex.base_carrier v) colors)
+             (Simplex.vertices f)
+         with
+         | [] -> None
+         | vs -> Some (Simplex.make vs))
+       (Complex.facets k))
+
+let vertex = Alcotest.testable Vertex.pp Vertex.equal
+
+let check_kernels_by_definition name k =
+  let expected = disconnected_by_definition k in
+  Alcotest.(check (list vertex))
+    (name ^ ": disconnected vertices, in order")
+    expected
+    (Link.disconnected_vertices k);
+  check_bool (name ^ ": link-connected") (expected = [])
+    (Link.is_link_connected k);
+  List.iter
+    (fun p ->
+      check_bool
+        (Format.asprintf "%s: restrict_colors %a" name Pset.pp p)
+        true
+        (Complex.equal
+           (restrict_colors_by_definition p k)
+           (Complex.restrict_colors p k)))
+    (Pset.nonempty_subsets (Pset.full (Complex.n k)))
+
+let test_kernels_by_definition_chr () =
+  List.iter
+    (fun n ->
+      check_kernels_by_definition (Printf.sprintf "Chr s n=%d" n)
+        (Chr.standard_iterated ~m:1 ~n);
+      check_kernels_by_definition (Printf.sprintf "Chr^2 s n=%d" n)
+        (Chr.standard_iterated ~m:2 ~n))
+    [ 2; 3; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Geometric realization (Appendix A)                                 *)
 (* ------------------------------------------------------------------ *)
@@ -749,4 +802,6 @@ let suite =
   @ [
     qt prop_sperner_lemma;
     qt prop_sperner_lemma_n4;
+    ("link and restriction kernels = definitions on Chr, Chr^2", `Quick,
+     test_kernels_by_definition_chr);
   ]
